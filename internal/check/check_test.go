@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/db"
-	"repro/internal/eval"
 )
 
 // trials returns the sweep width: the full 500+ seeded instances per
@@ -184,10 +183,3 @@ type errTestType struct{}
 func (errTestType) Error() string { return "marker present" }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
-
-// Keep the eval cache in its default (enabled) state even if another test
-// in the package toggles it.
-func TestMain(m *testing.M) {
-	eval.SetCache(true)
-	m.Run()
-}

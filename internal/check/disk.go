@@ -79,8 +79,8 @@ func CheckStoreParity(ins *Instance) error {
 			return fmt.Errorf("store parity: Result over disk = %s, naive over mem = %s",
 				formatTuples(got), formatTuples(naive))
 		}
-		// Warm the cache, then read again: generation-stamped caching must
-		// work identically for disk-store IDs.
+		// Warm the memo, then read again: the disk store's own memo must
+		// work identically to the in-memory one.
 		eval.Result(ins.Query, ds)
 		if got := eval.Result(ins.Query, ds); !tuplesEqual(got, naive) {
 			return fmt.Errorf("store parity: warm-cache Result over disk = %s, naive = %s",

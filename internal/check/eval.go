@@ -11,12 +11,12 @@ import (
 // evaluator configuration and compares each against the naive reference:
 //
 //   - uncached (eval.NoCache) vs NaiveResult
-//   - cold cache, then warm cache (second call served from the
-//     generation-stamped cache) vs NaiveResult
+//   - cold memo, then warm memo (second call served from the store's
+//     generation-stamped memo) vs NaiveResult
 //   - parallel evaluation with 2 and 4 workers vs NaiveResult
 //   - the same sweep again after applying the instance's edit script to a
-//     clone, which must invalidate the cache (generation bump) — a stale
-//     cache would reproduce the pre-edit result
+//     clone, which must invalidate the memo (generation bump) — a stale
+//     memo would reproduce the pre-edit result
 //   - ResultUnion vs the deduplicated union of per-disjunct NaiveResult
 //   - AnswerHolds membership parity against the naive result set
 //   - every witness of every answer is a subset of D
@@ -26,8 +26,8 @@ func CheckEvalParity(ins *Instance) error {
 		return err
 	}
 
-	// Edited clone: the cache entry for d was just warmed; a clone shares
-	// nothing, and editing the original must invalidate its entry.
+	// Edited clone: d's memo entry was just warmed; a clone starts with an
+	// empty memo of its own, and editing a store must invalidate its memo.
 	edited := d.Clone()
 	if _, err := edited.ApplyAll(ins.Edits); err != nil {
 		return fmt.Errorf("apply edits: %w", err)
@@ -37,16 +37,16 @@ func CheckEvalParity(ins *Instance) error {
 		return fmt.Errorf("eval parity: Result on edited clone = %s, naive = %s",
 			formatTuples(got), formatTuples(naiveEdited))
 	}
-	// Edit the original in place (after its cache entry is warm) and
-	// re-compare: this is the stale-cache trap.
+	// Edit a store in place after warming its memo and re-compare: this is
+	// the stale-memo trap.
 	mutated := d.Clone()
-	eval.Result(q, mutated) // warm the cache for mutated's ID
+	eval.Result(q, mutated) // warm mutated's memo
 	if _, err := mutated.ApplyAll(ins.Edits); err != nil {
 		return fmt.Errorf("apply edits in place: %w", err)
 	}
 	naiveMut := eval.NaiveResult(q, mutated)
 	if got := eval.Result(q, mutated); !tuplesEqual(got, naiveMut) {
-		return fmt.Errorf("eval parity: stale cache after in-place edits: Result = %s, naive = %s",
+		return fmt.Errorf("eval parity: stale memo after in-place edits: Result = %s, naive = %s",
 			formatTuples(got), formatTuples(naiveMut))
 	}
 
@@ -83,7 +83,7 @@ func checkResultModes(ins *Instance, label string) error {
 	}{
 		{"nocache", []eval.Option{eval.NoCache()}},
 		{"cold-cache", nil},
-		{"warm-cache", nil}, // second uncached-option call hits the cache
+		{"warm-cache", nil}, // second option-less call hits the memo
 		{"parallel-2", []eval.Option{eval.Parallel(2)}},
 		{"parallel-4", []eval.Option{eval.Parallel(4), eval.NoCache()}},
 	}

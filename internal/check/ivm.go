@@ -8,11 +8,11 @@ import (
 	"repro/internal/view"
 )
 
-// CheckIVMParity is the maintained-evaluation differential: it registers a
-// view.Engine as the store's eval.Maintainer (exactly as the cleaner's
-// incremental mode does), replays the instance's edit script, and after every
-// edit requires the maintained evaluation paths to be indistinguishable from
-// the naive reference:
+// CheckIVMParity is the maintained-evaluation differential: it passes a
+// view.Engine as the eval.Maintainer of every evaluation call (exactly as the
+// cleaner's incremental mode does), replays the instance's edit script, and
+// after every edit requires the maintained evaluation paths to be
+// indistinguishable from the naive reference:
 //
 //   - eval.Result on the maintained query and every union disjunct equals
 //     NaiveResult, and the engine really served it (MaintainedResult ok)
@@ -39,12 +39,6 @@ func CheckIVMParity(ins *Instance) error {
 			return fmt.Errorf("ivm parity: EnsureUnion: %w", err)
 		}
 	}
-	eval.SetMaintainer(d.ID(), engine)
-	defer func() {
-		eval.ClearMaintainer(d.ID(), engine)
-		eval.InvalidateDB(d.ID())
-	}()
-
 	if err := ivmStep(ins, d, engine, "initial"); err != nil {
 		return err
 	}
@@ -72,7 +66,7 @@ func CheckIVMParity(ins *Instance) error {
 	if _, ok := engine.MaintainedResult(d, ins.Query); ok {
 		return fmt.Errorf("ivm parity: engine served a result after an unseen edit (generation not checked)")
 	}
-	if got, want := eval.Result(ins.Query, d), eval.NaiveResult(ins.Query, d); !tuplesEqual(got, want) {
+	if got, want := eval.Result(ins.Query, d, eval.Maintained(engine)), eval.NaiveResult(ins.Query, d); !tuplesEqual(got, want) {
 		return fmt.Errorf("ivm parity: cold fallback after unseen edit: Result = %s, naive = %s",
 			formatTuples(got), formatTuples(want))
 	}
@@ -93,6 +87,7 @@ func CheckIVMParity(ins *Instance) error {
 func ivmStep(ins *Instance, d *db.Database, engine *view.Engine, step string) error {
 	q := ins.Query
 	naive := eval.NaiveResult(q, d)
+	m := eval.Maintained(engine)
 
 	// The engine must actually be serving — a silent permanent fallback would
 	// pass every value comparison while voiding the whole IVM mode.
@@ -104,7 +99,7 @@ func ivmStep(ins *Instance, d *db.Database, engine *view.Engine, step string) er
 		return fmt.Errorf("ivm parity (%s): MaintainedResult = %s, naive = %s",
 			step, formatTuples(rows), formatTuples(naive))
 	}
-	if got := eval.Result(q, d); !tuplesEqual(got, naive) {
+	if got := eval.Result(q, d, m); !tuplesEqual(got, naive) {
 		return fmt.Errorf("ivm parity (%s): Result = %s, naive = %s",
 			step, formatTuples(got), formatTuples(naive))
 	}
@@ -113,25 +108,25 @@ func ivmStep(ins *Instance, d *db.Database, engine *view.Engine, step string) er
 	// the cold one (canonical witness-key order), for present answers and for
 	// a perturbed absent probe.
 	for _, t := range naive {
-		got := eval.Witnesses(q, d, t)
+		got := eval.Witnesses(q, d, t, m)
 		cold := eval.Witnesses(q, d, t, eval.NoCache())
 		if gk, ck := witnessSetsKey(got), witnessSetsKey(cold); gk != ck {
 			return fmt.Errorf("ivm parity (%s): Witnesses(%v) = %q, cold = %q", step, t, gk, ck)
 		}
-		if !eval.AnswerHolds(q, d, t) {
+		if !eval.AnswerHolds(q, d, t, m) {
 			return fmt.Errorf("ivm parity (%s): AnswerHolds rejects naive answer %v", step, t)
 		}
 		if len(t) > 0 {
 			probe := append(db.Tuple(nil), t...)
 			probe[0] += "\x00not-a-value"
-			if eval.AnswerHolds(q, d, probe) != eval.AnswerHolds(q, d, probe, eval.NoCache()) {
+			if eval.AnswerHolds(q, d, probe, m) != eval.AnswerHolds(q, d, probe, eval.NoCache()) {
 				return fmt.Errorf("ivm parity (%s): AnswerHolds(%v) diverges from cold", step, probe)
 			}
 		}
 	}
 
 	// Empty-seed satisfiability: the cleaner's insertion-loop probe.
-	if got, want := eval.Holds(q, d, nil), eval.Holds(q, d, nil, eval.NoCache()); got != want {
+	if got, want := eval.Holds(q, d, nil, m), eval.Holds(q, d, nil, eval.NoCache()); got != want {
 		return fmt.Errorf("ivm parity (%s): Holds = %v, cold = %v", step, got, want)
 	}
 
@@ -141,7 +136,7 @@ func ivmStep(ins *Instance, d *db.Database, engine *view.Engine, step string) er
 	var want []db.Tuple
 	seen := map[string]bool{}
 	for _, dq := range ins.Union.Disjuncts {
-		if got, naiveD := eval.Result(dq, d), eval.NaiveResult(dq, d); !tuplesEqual(got, naiveD) {
+		if got, naiveD := eval.Result(dq, d, m), eval.NaiveResult(dq, d); !tuplesEqual(got, naiveD) {
 			return fmt.Errorf("ivm parity (%s): disjunct %s: Result = %s, naive = %s",
 				step, dq, formatTuples(got), formatTuples(naiveD))
 		}
@@ -153,7 +148,7 @@ func ivmStep(ins *Instance, d *db.Database, engine *view.Engine, step string) er
 			}
 		}
 	}
-	if got := eval.ResultUnion(ins.Union, d); !tuplesEqual(got, want) {
+	if got := eval.ResultUnion(ins.Union, d, m); !tuplesEqual(got, want) {
 		return fmt.Errorf("ivm parity (%s): ResultUnion = %s, naive union = %s",
 			step, formatTuples(got), formatTuples(want))
 	}

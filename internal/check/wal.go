@@ -76,7 +76,7 @@ func CheckWALReplay(ins *Instance) error {
 	if err != nil {
 		return fmt.Errorf("wal: reopen: %w", err)
 	}
-	equal := st2.Database().Equal(direct)
+	equal := db.Equal(st2.Target(), direct)
 	st2.Close()
 	if !equal {
 		return fmt.Errorf("wal: replayed database differs from direct application of %d edits", len(ins.Edits))
@@ -142,10 +142,10 @@ func checkTruncation(dir, journalPath string, truncated []byte, ins *Instance, p
 	if err != nil {
 		return fmt.Errorf("wal: truncation to %d bytes failed to open: %w", len(truncated), err)
 	}
-	got := st.Database()
+	got := st.Target()
 	ok := false
 	for _, p := range prefixes {
-		if got.Equal(p) {
+		if db.Equal(got, p) {
 			ok = true
 			break
 		}

@@ -303,6 +303,9 @@ type Cleaner struct {
 	// only touched from the cleaning goroutine (edits are serialized), so it
 	// needs no lock of its own.
 	engine *view.Engine
+	// opts are the options of every eval call (see evalOpts). Like engine,
+	// they change only between parallel phases.
+	opts []eval.Option
 }
 
 // factWait tracks one in-flight TRUE(R(ā))? question so concurrent callers
@@ -321,7 +324,7 @@ func New(d db.Store, oracle crowd.Oracle, cfg Config) *Cleaner {
 	cfg.applyDefaults()
 	counting := crowd.NewCounting(oracle)
 	counting.Obs = cfg.Obs
-	return &Cleaner{
+	c := &Cleaner{
 		cfg:        cfg,
 		d:          d,
 		oracle:     counting,
@@ -331,20 +334,20 @@ func New(d db.Store, oracle crowd.Oracle, cfg Config) *Cleaner {
 		unsat:      make(map[string]bool),
 		factAsks:   make(map[string]*factWait),
 	}
+	c.opts = c.baseEvalOpts()
+	return c
 }
 
 // Store returns the cleaner's fact store.
 func (c *Cleaner) Store() db.Store { return c.d }
 
-// Database returns the cleaner's store as an in-memory *db.Database.
-//
-// Deprecated: it exists for callers that predate the Store interface and
-// panics when the cleaner holds a different backend; use Store instead.
-func (c *Cleaner) Database() *db.Database { return c.d.(*db.Database) }
-
 // evalOpts returns the evaluation options every eval call of this cleaner
-// uses, derived from Config.EvalWorkers.
-func (c *Cleaner) evalOpts() []eval.Option {
+// uses: eval.Parallel from Config.EvalWorkers and, during an Incremental
+// run, eval.Maintained with the run's engine.
+func (c *Cleaner) evalOpts() []eval.Option { return c.opts }
+
+// baseEvalOpts returns the options derived from Config.EvalWorkers alone.
+func (c *Cleaner) baseEvalOpts() []eval.Option {
 	if c.cfg.EvalWorkers == 0 || c.cfg.EvalWorkers == 1 {
 		return nil
 	}
@@ -519,10 +522,11 @@ func (c *Cleaner) apply(r *Report, e db.Edit) error {
 }
 
 // beginMaintained starts maintained (IVM) evaluation for a run: it builds the
-// engine, materializes the given queries as witness-tracking views, and
-// registers the engine with the evaluator. A no-op unless Config.Incremental
-// is set; a query that fails validation disables maintained mode for the run
-// (evaluation of that query will surface the problem on its own terms).
+// engine, materializes the given queries as witness-tracking views, and adds
+// the engine to the options of the run's eval calls. A no-op unless
+// Config.Incremental is set; a query that fails validation disables
+// maintained mode for the run (evaluation of that query will surface the
+// problem on its own terms).
 func (c *Cleaner) beginMaintained(qs ...*cq.Query) {
 	if !c.cfg.Incremental {
 		return
@@ -534,17 +538,12 @@ func (c *Cleaner) beginMaintained(qs ...*cq.Query) {
 		}
 	}
 	c.engine = engine
-	eval.SetMaintainer(c.d.ID(), c.engine)
+	c.opts = append(c.baseEvalOpts(), eval.Maintained(engine))
 }
 
-// finishEval releases the run's evaluation state: the maintained engine (if
-// any) is unregistered, and the store's evaluation-cache sections are dropped
-// so a finished run never leaks cache memory into the next job (the sections
-// are generation-stamped and thus useless to anyone else anyway).
+// finishEval releases the run's maintained engine, if any. Nothing else
+// outlives the run: the store's memo belongs to the store.
 func (c *Cleaner) finishEval() {
-	if c.engine != nil {
-		eval.ClearMaintainer(c.d.ID(), c.engine)
-		c.engine = nil
-	}
-	eval.InvalidateDB(c.d.ID())
+	c.engine = nil
+	c.opts = c.baseEvalOpts()
 }

@@ -77,7 +77,7 @@ func TestExample46ScriptedFlow(t *testing.T) {
 		if _, err := c.RemoveWrongAnswer(context.Background(), q, db.Tuple{"ESP"}); err != nil {
 			t.Fatalf("RemoveWrongAnswer: %v", err)
 		}
-		if c.Stats().VerifyFactQs == 3 && c.Database().Distance(dg) >= 0 {
+		if c.Stats().VerifyFactQs == 3 && db.Distance(c.Store(), dg) >= 0 {
 			// The 3-question outcome of the paper's walk-through is reachable.
 			return
 		}

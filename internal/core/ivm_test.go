@@ -5,47 +5,96 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cq"
+	"repro/internal/crowd"
 	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/obs"
 )
 
-// TestCleanInvalidatesEvalCache: when Clean returns — incremental or not —
-// the store's sections are gone from the evaluation cache (finishEval calls
-// eval.InvalidateDB), so long-lived processes cleaning many stores don't
-// accumulate dead cache sections. The db_invalidations counter confirms the
-// release went through the invalidation path rather than LRU eviction.
-func TestCleanInvalidatesEvalCache(t *testing.T) {
-	for _, incremental := range []bool{false, true} {
-		rec := obs.New()
-		eval.Instrument(rec)
-		c, d, _ := newTestCleaner(t, Config{
-			RNG:         rand.New(rand.NewSource(11)),
-			Incremental: incremental,
-		})
-		q := dataset.IntroQ1()
-		eval.Result(q, d) // warm a section for d before cleaning
-		if st := eval.CacheStatsFor(d.ID()); st.Sections == 0 {
-			t.Fatalf("incremental=%v: no cache section after warm-up", incremental)
-		}
+// memoProbe is a perfect oracle that tallies the memo lookups of its own
+// evaluations over DG. The cleaner runs serially here, so the evaluator's
+// counters move during an oracle call only for DG.
+type memoProbe struct {
+	*crowd.Perfect
+	rec          *obs.Recorder
+	hits, misses int64
+}
+
+func (p *memoProbe) tally() func() {
+	h, m := p.rec.Counter(eval.MetricCacheHits), p.rec.Counter(eval.MetricCacheMisses)
+	return func() {
+		p.hits += p.rec.Counter(eval.MetricCacheHits) - h
+		p.misses += p.rec.Counter(eval.MetricCacheMisses) - m
+	}
+}
+
+func (p *memoProbe) VerifyAnswer(ctx context.Context, q *cq.Query, t db.Tuple) bool {
+	defer p.tally()()
+	return p.Perfect.VerifyAnswer(ctx, q, t)
+}
+
+func (p *memoProbe) CompleteResult(ctx context.Context, q *cq.Query, current []db.Tuple) (db.Tuple, bool) {
+	defer p.tally()()
+	return p.Perfect.CompleteResult(ctx, q, current)
+}
+
+// TestGroundTruthMemoOutlivesJobs: the simulated crowd of §7 builds a fresh
+// perfect oracle per job over the one shared DG, and DG's memo must serve
+// every job, not just the one that filled it. Two identical jobs run in
+// turn; every DG evaluation of the second is a memo hit. Scoping the memo
+// to a job (or to an oracle) again makes the second job miss.
+func TestGroundTruthMemoOutlivesJobs(t *testing.T) {
+	rec := obs.New()
+	eval.Instrument(rec)
+	defer eval.Instrument(nil)
+
+	dirty, dg := dataset.Figure1()
+	q := dataset.IntroQ1()
+	var probes []*memoProbe
+	for job := 0; job < 2; job++ {
+		p := &memoProbe{Perfect: crowd.NewPerfect(dg), rec: rec}
+		c := New(dirty.Clone(), p, Config{RNG: rand.New(rand.NewSource(3)), Incremental: true})
 		if _, err := c.Clean(context.Background(), q); err != nil {
-			t.Fatalf("incremental=%v: Clean: %v", incremental, err)
+			t.Fatalf("job %d: Clean: %v", job, err)
 		}
-		if st := eval.CacheStatsFor(d.ID()); st.Sections != 0 || st.Entries != 0 {
-			t.Errorf("incremental=%v: cache leaked after Clean: %+v", incremental, st)
-		}
-		if n := rec.Counter(eval.MetricCacheDBInvalidations); n == 0 {
-			t.Errorf("incremental=%v: db_invalidations counter = 0", incremental)
-		}
-		if incremental {
-			if hits := rec.Counter(eval.MetricMaintainedHits); hits == 0 {
-				t.Errorf("maintained mode never served a lookup (hits = 0)")
-			}
-		} else if hits := rec.Counter(eval.MetricMaintainedHits); hits != 0 {
-			t.Errorf("cold mode recorded %d maintained hits", hits)
-		}
-		eval.Instrument(nil)
+		probes = append(probes, p)
+	}
+	if first := probes[0]; first.misses == 0 {
+		t.Fatalf("first job never evaluated DG cold (%d hits)", first.hits)
+	}
+	if second := probes[1]; second.hits == 0 || second.misses != 0 {
+		t.Errorf("second job: %d hits and %d misses on DG's memo, want only hits", second.hits, second.misses)
+	}
+}
+
+// TestMaintainerEndsWithRun: the view engine of an Incremental run travels
+// in that run's eval calls only. A second, non-incremental cleaner on the
+// same (now clean, unedited) store must not be served by it.
+func TestMaintainerEndsWithRun(t *testing.T) {
+	rec := obs.New()
+	eval.Instrument(rec)
+	defer eval.Instrument(nil)
+
+	c, d, dg := newTestCleaner(t, Config{RNG: rand.New(rand.NewSource(11)), Incremental: true})
+	q := dataset.IntroQ1()
+	if _, err := c.Clean(context.Background(), q); err != nil {
+		t.Fatalf("incremental Clean: %v", err)
+	}
+	if hits := rec.Counter(eval.MetricMaintainedHits); hits == 0 {
+		t.Fatal("maintained mode never served a lookup (hits = 0)")
+	}
+	hits, misses := rec.Counter(eval.MetricMaintainedHits), rec.Counter(eval.MetricMaintainedMisses)
+	cold := New(d, crowd.NewPerfect(dg), Config{RNG: rand.New(rand.NewSource(11))})
+	if _, err := cold.Clean(context.Background(), q); err != nil {
+		t.Fatalf("second Clean: %v", err)
+	}
+	if n := rec.Counter(eval.MetricMaintainedHits) - hits; n != 0 {
+		t.Errorf("non-incremental cleaner recorded %d maintained hits", n)
+	}
+	if n := rec.Counter(eval.MetricMaintainedMisses) - misses; n != 0 {
+		t.Errorf("non-incremental cleaner consulted a maintainer %d times", n)
 	}
 }
 

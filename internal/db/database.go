@@ -17,13 +17,15 @@ var lastDBID atomic.Uint64
 type Database struct {
 	schema *schema.Schema
 	rels   map[string]*Relation
-	id     uint64 // process-unique identity, for evaluation caches
+	id     uint64 // process-unique identity
 	gen    uint64 // edit generation, bumped by every mutating change
+	memo   *Memo  // evaluation memo, stamped with gen
 }
 
 // New creates an empty database instance of the given schema.
 func New(s *schema.Schema) *Database {
 	d := &Database{schema: s, rels: make(map[string]*Relation, s.Len()), id: lastDBID.Add(1)}
+	d.memo = newMemo(&d.gen)
 	for _, name := range s.Names() {
 		rel, _ := s.Relation(name)
 		d.rels[name] = NewRelation(name, rel.Arity())
@@ -32,15 +34,18 @@ func New(s *schema.Schema) *Database {
 }
 
 // ID returns the database's process-unique identity. Clones get fresh
-// identities; the evaluation cache keys entries by (ID, Generation) so two
-// instances never share cache lines.
+// identities.
 func (d *Database) ID() uint64 { return d.id }
+
+// Memo returns the database's evaluation memo. Clones start with an empty
+// one.
+func (d *Database) Memo() *Memo { return d.memo }
 
 // Generation returns the edit-generation counter: it increases monotonically
 // with every mutating InsertFact/DeleteFact/Apply (no-op edits don't bump
 // it). Evaluation results computed at one generation remain valid exactly
-// until the counter moves, which is what makes generation-stamped caching of
-// Q(D) sound. Reading it concurrently with a mutation follows the same rule
+// until the counter moves, which is what makes the generation-stamped Memo
+// sound. Reading it concurrently with a mutation follows the same rule
 // as the rest of the Database: mutations must be serialized by the caller.
 func (d *Database) Generation() uint64 { return d.gen }
 
@@ -155,6 +160,7 @@ func (d *Database) Facts() []Fact {
 // concurrency contract, Clone counts as a mutation of d.
 func (d *Database) Clone() *Database {
 	out := &Database{schema: d.schema, rels: make(map[string]*Relation, len(d.rels)), id: lastDBID.Add(1)}
+	out.memo = newMemo(&out.gen)
 	for n, r := range d.rels {
 		out.rels[n] = r.Clone()
 	}
@@ -165,6 +171,7 @@ func (d *Database) Clone() *Database {
 // clone-vs-snapshot benchmark baseline.
 func (d *Database) deepClone() *Database {
 	out := &Database{schema: d.schema, rels: make(map[string]*Relation, len(d.rels)), id: lastDBID.Add(1)}
+	out.memo = newMemo(&out.gen)
 	for n, r := range d.rels {
 		nr := NewRelation(r.name, r.arity)
 		r.Each(func(t Tuple) bool {
@@ -182,8 +189,7 @@ func (d *Database) Fork() Store { return d.Clone() }
 
 // Snapshot captures an immutable read view of the database at its current
 // generation. The snapshot keeps reporting d's identity and the captured
-// generation, so evaluation-cache entries warmed through it serve the live
-// database at the same generation (and vice versa). Like Clone, taking a
+// generation; it has no memo, so it evaluates cold. Like Clone, taking a
 // snapshot counts as a mutation of d for the concurrency contract; the
 // returned snapshot may then be read concurrently with further edits to d.
 func (d *Database) Snapshot() Snapshot {

@@ -126,6 +126,7 @@ type DiskStore struct {
 	fs       faultfs.FS
 	id       uint64
 	gen      uint64
+	memo     *Memo // evaluation memo, stamped with gen
 	syms     *symtab
 	rels     map[string]*diskRel
 	relNames []string // sorted; fixes file-op order for deterministic fault injection
@@ -299,6 +300,7 @@ func OpenDisk(dir string, s *schema.Schema, shards int, opts ...DiskOption) (*Di
 		relNames:     append([]string(nil), s.Names()...),
 		leftoverQuar: leftoverQuar,
 	}
+	ds.memo = newMemo(&ds.gen)
 	sort.Strings(ds.relNames)
 	ds.recordsReplayed += symRcv.records
 	ds.tornBytes += symRcv.tornBytes
@@ -621,13 +623,16 @@ func (sh *diskShard) appendRecord(version int, op byte, ids []uint32) error {
 
 // --- Store interface ---
 
-// ID returns the store's process-unique identity (fresh on every open, so
-// evaluation caches can never confuse two opens of the same directory).
+// ID returns the store's process-unique identity (fresh on every open).
 func (s *DiskStore) ID() uint64 { return s.id }
 
 // Generation returns the edit-generation counter. It starts at zero on
-// every open; see Database.Generation for the caching contract.
+// every open; see Database.Generation for the memo contract.
 func (s *DiskStore) Generation() uint64 { return s.gen }
+
+// Memo returns the store's evaluation memo. Every open and every fork starts
+// with an empty one.
+func (s *DiskStore) Memo() *Memo { return s.memo }
 
 // Schema returns the store's schema.
 func (s *DiskStore) Schema() *schema.Schema { return s.schema }
@@ -786,6 +791,7 @@ func (s *DiskStore) forkDetached() *DiskStore {
 		relNames: s.relNames,
 		detached: true,
 	}
+	out.memo = newMemo(&out.gen)
 	for name, r := range s.rels {
 		nr := &diskRel{store: out, name: r.name, arity: r.arity, shards: make([]*diskShard, len(r.shards))}
 		for i, sh := range r.shards {
@@ -806,8 +812,8 @@ func (s *DiskStore) forkDetached() *DiskStore {
 func (s *DiskStore) Fork() Store { return s.forkDetached() }
 
 // Snapshot captures an immutable read view at the current generation,
-// reporting the live store's identity so cache entries are shared at equal
-// generations. Like every mutation, Snapshot must be serialized against
+// reporting the live store's identity. It has no memo and evaluates cold.
+// Like every mutation, Snapshot must be serialized against
 // other writes; afterwards the snapshot reads safely while edits land.
 func (s *DiskStore) Snapshot() Snapshot {
 	return &diskSnapshot{d: s.forkDetached(), id: s.id, gen: s.gen}
@@ -1136,6 +1142,7 @@ func (s *diskSnapshot) Has(f Fact) bool        { return s.d.Has(f) }
 func (s *diskSnapshot) Len() int               { return s.d.Len() }
 func (s *diskSnapshot) Facts() []Fact          { return s.d.Facts() }
 func (s *diskSnapshot) Fork() Store            { return s.d.forkDetached() }
+func (s *diskSnapshot) Memo() *Memo            { return nil }
 
 var (
 	_ Store    = (*DiskStore)(nil)

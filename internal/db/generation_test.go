@@ -4,7 +4,7 @@ import "testing"
 
 // TestGenerationBumpsOnRealEdits: the edit-generation counter moves exactly
 // when the database changes — no-op inserts of present facts and deletes of
-// absent facts leave it alone. The evaluation cache's soundness rests on
+// absent facts leave it alone. The evaluation memo's soundness rests on
 // this: an entry stamped at generation g is valid iff the counter still
 // reads g.
 func TestGenerationBumpsOnRealEdits(t *testing.T) {

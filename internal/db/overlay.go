@@ -13,9 +13,9 @@ import "repro/internal/schema"
 //
 // When the virtual edit is a no-op (inserting a fact base already has,
 // deleting one it lacks) base is returned unchanged: its state already is
-// the overlaid state, and its real identity keeps caching sound. Otherwise
-// the overlay reports a fresh store identity at generation zero, so
-// generation-stamped caches never alias it with base.
+// the overlaid state. Otherwise the overlay reports a fresh store identity at
+// generation zero and has no memo, so it evaluates cold and never sees
+// base's memoized results.
 //
 // The overlay reads through to base and follows the usual reader contract:
 // it must not be used concurrently with mutations of base.
@@ -38,6 +38,7 @@ type overlayReader struct {
 
 func (o *overlayReader) ID() uint64             { return o.id }
 func (o *overlayReader) Generation() uint64     { return 0 }
+func (o *overlayReader) Memo() *Memo            { return nil }
 func (o *overlayReader) Schema() *schema.Schema { return o.base.Schema() }
 
 func (o *overlayReader) Rel(name string) Rel {

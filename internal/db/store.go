@@ -34,8 +34,7 @@ type Rel interface {
 
 // Reader is the read-only storage view the evaluator and every other
 // consumer of Q(D) works against. Both live stores and snapshots implement
-// it. The identity pair (ID, Generation) stamps evaluation-cache entries:
-// two Readers with equal IDs and generations are guaranteed to hold the
+// it. Two Readers with equal IDs and generations are guaranteed to hold the
 // same facts.
 type Reader interface {
 	// ID returns the store's process-unique identity.
@@ -55,14 +54,16 @@ type Reader interface {
 	// Facts returns every fact in deterministic order (relations sorted by
 	// name, tuples lexicographically).
 	Facts() []Fact
+	// Memo returns the store's own evaluation memo, or nil for readers that
+	// are evaluated cold (snapshots and overlays).
+	Memo() *Memo
 }
 
 // Snapshot is an immutable read view of a store at one generation: reads
 // against it are stable while edits keep landing on the originating store.
 // ID and Generation report the originating store's identity and the
-// generation at capture, so evaluation-cache entries warmed through a
-// snapshot stay valid for the live store at the same generation (and vice
-// versa).
+// generation at capture. A snapshot has no memo (Memo returns nil), so it
+// never sees the live store's memoized results and evaluates cold.
 type Snapshot interface {
 	Reader
 	// Fork returns a new mutable Store seeded with the snapshot's contents.
@@ -256,7 +257,6 @@ func DeepCopy(r Reader) *Database {
 
 // memSnapshot is the in-memory Snapshot: a copy-on-write fork of the
 // Database frozen at capture, reporting the source's identity and captured
-// generation so cache entries are shared with the live store at that
 // generation.
 type memSnapshot struct {
 	d   *Database
@@ -272,6 +272,7 @@ func (s *memSnapshot) Has(f Fact) bool        { return s.d.Has(f) }
 func (s *memSnapshot) Len() int               { return s.d.Len() }
 func (s *memSnapshot) Facts() []Fact          { return s.d.Facts() }
 func (s *memSnapshot) Fork() Store            { return s.d.Clone() }
+func (s *memSnapshot) Memo() *Memo            { return nil }
 
 // Interface conformance.
 var (

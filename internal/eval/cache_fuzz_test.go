@@ -78,22 +78,21 @@ func TestCloneEditNeverServesStaleCache(t *testing.T) {
 }
 
 // FuzzEvalCacheInterleave interprets the fuzz input as a script of database
-// and cache operations — insert, delete, clone, switch database, switch
-// query, toggle the global cache — and after every step cross-checks the
-// cached/indexed evaluator against the naive reference on the live
-// database. Any stale cache entry (a generation not bumped, a clone sharing
-// an entry with its origin, a toggle leaving a poisoned entry behind)
-// surfaces as a divergence from NaiveResult.
+// and memo operations — insert, delete, clone, switch database, switch
+// query, toggle NoCache for the following calls — and after every step
+// cross-checks the memoized/indexed evaluator against the naive reference
+// on the live database. Any stale memo entry (a generation not bumped, a
+// clone sharing an entry with its origin, a NoCache stretch leaving a
+// poisoned entry behind) surfaces as a divergence from NaiveResult.
 func FuzzEvalCacheInterleave(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 0, 4})                     // insert, eval, insert, eval
 	f.Add([]byte{0, 4, 1, 4})                     // insert, eval, delete, eval
 	f.Add([]byte{0, 4, 2, 8, 4, 3, 4})            // warm, clone, edit clone, eval both
-	f.Add([]byte{0, 4, 5, 4, 5, 4})               // toggle cache off and on between evals
+	f.Add([]byte{0, 4, 5, 4, 5, 4})               // toggle NoCache on and off between evals
 	f.Add([]byte{0, 8, 16, 24, 4, 2, 3, 1, 4, 3}) // mixed script
 	f.Add([]byte{0, 0, 4, 4, 1, 1, 4, 4})         // duplicate no-op edits
 	f.Fuzz(func(t *testing.T, script []byte) {
-		defer SetCache(true)
 		s := schema.New(
 			schema.Relation{Name: "R", Attrs: []string{"a", "b"}},
 			schema.Relation{Name: "S", Attrs: []string{"b"}},
@@ -123,10 +122,11 @@ func FuzzEvalCacheInterleave(f *testing.F) {
 		}
 		dbs := []*db.Database{db.New(s)}
 		cur, qi := 0, 0
+		var opts []Option // NoCache() while toggled off
 		check := func(step int, op string) {
 			d := dbs[cur]
 			q := queries[qi]
-			got := Result(q, d)
+			got := Result(q, d, opts...)
 			want := NaiveResult(q, d)
 			if !tuplesEqual(got, want) {
 				t.Fatalf("step %d (%s, db %d gen %d, query %s): Result %v, naive %v",
@@ -157,12 +157,14 @@ func FuzzEvalCacheInterleave(f *testing.F) {
 				qi = int(b>>3) % len(queries)
 				check(i, "switch-query")
 			case 5:
-				SetCache(b&0x08 != 0)
+				opts = nil
+				if b&0x08 == 0 {
+					opts = []Option{NoCache()}
+				}
 				check(i, "toggle-cache")
 			}
 		}
 		// Final pass: every database against every query, warm and cold.
-		SetCache(true)
 		for di, d := range dbs {
 			for qj, q := range queries {
 				want := NaiveResult(q, d)

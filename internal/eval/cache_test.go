@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -156,29 +157,72 @@ func TestWitnessesAndHoldsCached(t *testing.T) {
 	}
 }
 
-// TestSetCacheDisables: with the cache off nothing is looked up or stored;
-// re-enabling starts from an empty cache.
-func TestSetCacheDisables(t *testing.T) {
-	SetCache(false)
-	defer SetCache(true)
-
+// TestNoCacheBypassesMemo: a NoCache call neither looks anything up nor
+// stores anything, so the next memoized call on the unchanged store still
+// misses.
+func TestNoCacheBypassesMemo(t *testing.T) {
 	r := obs.New()
 	Instrument(r)
 	defer Instrument(nil)
 
 	d, _ := dataset.Figure1()
 	q := dataset.IntroQ1()
-	a := Result(q, d)
-	b := Result(q, d)
+	a := Result(q, d, NoCache())
+	b := Result(q, d, NoCache())
 	if !tuplesEqual(a, b) {
-		t.Fatalf("results differ with cache disabled: %v vs %v", a, b)
+		t.Fatalf("results differ with NoCache: %v vs %v", a, b)
 	}
 	if h := r.Counter(MetricCacheHits); h != 0 {
-		t.Errorf("cache disabled but recorded %d hits", h)
+		t.Errorf("NoCache recorded %d hits", h)
 	}
 	if m := r.Counter(MetricCacheMisses); m != 0 {
-		t.Errorf("cache disabled but recorded %d misses (lookups should be skipped entirely)", m)
+		t.Errorf("NoCache recorded %d misses (lookups should be skipped entirely)", m)
 	}
+	if !tuplesEqual(Result(q, d), a) {
+		t.Fatal("memoized result differs from NoCache")
+	}
+	if h := r.Counter(MetricCacheHits); h != 0 {
+		t.Errorf("first memoized call hit %d times: NoCache stored an entry", h)
+	}
+}
+
+// TestMemoConcurrentReaders: many goroutines evaluate the same store at
+// once, starting from an empty memo, so Get and Put race on every key — as
+// Config.Parallel verifications do on the ground truth. Every answer must
+// equal cold evaluation; run under -race this checks the memo's locking.
+func TestMemoConcurrentReaders(t *testing.T) {
+	d := dataset.Soccer(dataset.SoccerOpts{Tournaments: 2})
+	qs := dataset.SoccerQueries()
+	want := make([][]db.Tuple, len(qs))
+	for i, q := range qs {
+		want[i] = Result(q, d, NoCache())
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range qs {
+				qi := (i + w) % len(qs)
+				q := qs[qi]
+				if got := Result(q, d); !tuplesEqual(got, want[qi]) {
+					t.Errorf("reader %d, %s: memoized Result %v, cold %v", w, q, got, want[qi])
+					return
+				}
+				for _, tp := range want[qi][:min(len(want[qi]), 3)] {
+					if !witnessesEqual(Witnesses(q, d, tp), Witnesses(q, d, tp, NoCache())) {
+						t.Errorf("reader %d, %s: memoized witnesses of %v diverge", w, q, tp)
+						return
+					}
+					if !AnswerHolds(q, d, tp) {
+						t.Errorf("reader %d, %s: memoized AnswerHolds(%v) = false", w, q, tp)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestCacheRandomizedInterleavings is the soundness property of the tentpole:

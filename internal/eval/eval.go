@@ -18,30 +18,23 @@ func Eval(q *cq.Query, d db.Reader, opts ...Option) []Assignment {
 
 // Result returns Q(D): the distinct answer tuples α(head(Q)) over all valid
 // assignments, in deterministic (lexicographic) order. Results are memoized
-// per database generation, so re-evaluating an unchanged database is an O(1)
+// per store generation, so re-evaluating an unchanged store is an O(1)
 // lookup (plus a copy of the answer spine).
 func Result(q *cq.Query, d db.Reader, opts ...Option) []db.Tuple {
 	if r := rec(); r != nil {
 		defer r.Timer(MetricResultSeconds)()
 	}
 	cfg := resolve(opts)
-	var key string
-	if !cfg.noCache {
-		key = resultKey(fingerprint(q))
-		if out, ok := lookupTuples(d, key); ok {
-			return out
-		}
-		if out, ok := maintainedResult(d, q); ok {
-			storeTuples(d, d.Generation(), key, out)
+	cold := func() []db.Tuple { return sortTuples(collectResult(q, d, cfg)) }
+	if cfg.noCache {
+		return cold()
+	}
+	if m := cfg.maint; m != nil {
+		if out, ok := served(m.MaintainedResult(d, q)); ok {
 			return out
 		}
 	}
-	gen := d.Generation()
-	out := sortTuples(collectResult(q, d, cfg))
-	if !cfg.noCache {
-		storeTuples(d, gen, key, out)
-	}
-	return out
+	return memoized(d, resultKey(fingerprint(q)), cold, spine[db.Tuple])
 }
 
 // ResultUnion returns the union of Result over the disjuncts of a UCQ.
@@ -49,26 +42,19 @@ func ResultUnion(u *cq.Union, d db.Reader, opts ...Option) []db.Tuple {
 	if r := rec(); r != nil {
 		defer r.Timer(MetricResultUnionSeconds)()
 	}
-	cfg := resolve(opts)
-	var key string
-	if !cfg.noCache {
-		key = unionResultKey(unionFingerprint(u))
-		if out, ok := lookupTuples(d, key); ok {
-			return out
+	cold := func() []db.Tuple {
+		seen := make(map[string]db.Tuple)
+		for _, q := range u.Disjuncts {
+			for _, t := range Result(q, d, opts...) {
+				seen[t.Key()] = t
+			}
 		}
+		return sortTuples(seen)
 	}
-	gen := d.Generation()
-	seen := make(map[string]db.Tuple)
-	for _, q := range u.Disjuncts {
-		for _, t := range Result(q, d, opts...) {
-			seen[t.Key()] = t
-		}
+	if resolve(opts).noCache {
+		return cold()
 	}
-	out := sortTuples(seen)
-	if !cfg.noCache {
-		storeTuples(d, gen, key, out)
-	}
-	return out
+	return memoized(d, unionResultKey(unionFingerprint(u)), cold, spine[db.Tuple])
 }
 
 // Extensions returns all valid total assignments extending the partial
@@ -95,45 +81,43 @@ func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) []Assi
 // assignment in A(t,Q,D), deduplicated (distinct assignments can induce the
 // same witness, e.g. by permuting symmetric atoms) and sorted canonically by
 // witness key, so the maintained (IVM) path and cold enumeration produce
-// byte-identical output. Witness sets are memoized per database generation —
+// byte-identical output. Witness sets are memoized per store generation —
 // the question-selection loop of Algorithm 1 re-enumerates the same answer's
 // witnesses between crowd questions.
 func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact {
 	start := time.Now()
-	cfg := resolve(opts)
-	var key string
-	if !cfg.noCache {
-		key = witnessCacheKey(fingerprint(q), t.Key())
-		if out, ok := lookupWitnesses(d, key); ok {
-			observeWitnesses(start, out)
-			return out
-		}
-		if out, ok := maintainedWitnesses(d, q, t); ok {
-			storeWitnesses(d, d.Generation(), key, out)
-			observeWitnesses(start, out)
-			return out
-		}
-	}
-	gen := d.Generation()
-	asgs := AssignmentsFor(q, d, t, opts...)
-	seen := make(map[string]bool)
-	var out [][]db.Fact
-	var keys []string
-	for _, a := range asgs {
-		w := a.Witness(q)
-		k := witnessKey(w)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, w)
-			keys = append(keys, k)
-		}
-	}
-	sortWitnessSets(out, keys)
-	if !cfg.noCache {
-		storeWitnesses(d, gen, key, out)
-	}
+	out := witnesses(q, d, t, opts)
 	observeWitnesses(start, out)
 	return out
+}
+
+func witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts []Option) [][]db.Fact {
+	cfg := resolve(opts)
+	cold := func() [][]db.Fact {
+		seen := make(map[string]bool)
+		var out [][]db.Fact
+		var keys []string
+		for _, a := range AssignmentsFor(q, d, t, opts...) {
+			w := a.Witness(q)
+			k := witnessKey(w)
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, w)
+				keys = append(keys, k)
+			}
+		}
+		sortWitnessSets(out, keys)
+		return out
+	}
+	if cfg.noCache {
+		return cold()
+	}
+	if m := cfg.maint; m != nil {
+		if out, ok := served(m.MaintainedWitnesses(d, q, t)); ok {
+			return out
+		}
+	}
+	return memoized(d, witnessCacheKey(fingerprint(q), t.Key()), cold, spine[[]db.Fact])
 }
 
 // sortWitnessSets orders witness sets by their precomputed canonical keys.
@@ -180,31 +164,27 @@ func witnessKey(w []db.Fact) string {
 
 // Holds reports whether the boolean query (or the body of q under the given
 // seed) has at least one valid extension w.r.t. D — i.e. whether the partial
-// assignment is satisfiable (§2). Outcomes are memoized per database
-// generation and seed.
+// assignment is satisfiable (§2). Outcomes are memoized per store generation
+// and seed.
 func Holds(q *cq.Query, d db.Reader, seed Assignment, opts ...Option) bool {
 	cfg := resolve(opts)
-	var key string
-	if !cfg.noCache {
-		key = holdsKey(fingerprint(q), seed.Key())
-		if v, ok := lookupHolds(d, key); ok {
-			return v
-		}
-		if v, ok := maintainedHolds(d, q, seed); ok {
-			storeHolds(d, d.Generation(), key, v)
+	cold := func() bool {
+		found := false
+		search(q, d, seed, func(Assignment) bool {
+			found = true
+			return false // stop at first
+		})
+		return found
+	}
+	if cfg.noCache {
+		return cold()
+	}
+	if m := cfg.maint; m != nil {
+		if v, ok := served(m.MaintainedHolds(d, q, seed)); ok {
 			return v
 		}
 	}
-	gen := d.Generation()
-	found := false
-	search(q, d, seed, func(Assignment) bool {
-		found = true
-		return false // stop at first
-	})
-	if !cfg.noCache {
-		storeHolds(d, gen, key, found)
-	}
-	return found
+	return memoized(d, holdsKey(fingerprint(q), seed.Key()), cold, same[bool])
 }
 
 // Satisfiable reports whether the partial assignment α for Q is satisfiable
@@ -219,8 +199,8 @@ func AnswerHolds(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) bool {
 	if !ok {
 		return false
 	}
-	if !resolve(opts).noCache {
-		if v, ok := maintainedAnswerHolds(d, q, t); ok {
+	if cfg := resolve(opts); cfg.maint != nil && !cfg.noCache {
+		if v, ok := served(cfg.maint.MaintainedAnswerHolds(d, q, t)); ok {
 			return v
 		}
 	}

@@ -27,21 +27,18 @@ const (
 	// MetricWitnessTuples is the distribution of distinct witness tuples per
 	// answer (the naive question upper bound of Figure 3a).
 	MetricWitnessTuples = "eval.witnesses.tuples"
-	// MetricCacheHits / MetricCacheMisses count lookups against the
-	// generation-stamped evaluation cache.
+	// MetricCacheHits / MetricCacheMisses count lookups against the store's
+	// generation-stamped memo (db.Reader.Memo).
 	MetricCacheHits   = "eval.cache.hits"
 	MetricCacheMisses = "eval.cache.misses"
-	// MetricCacheInvalidations counts cache sections discarded because the
-	// database moved to a new edit generation.
+	// MetricCacheInvalidations counts memos discarded because their store
+	// moved to a new edit generation.
 	MetricCacheInvalidations = "eval.cache.invalidations"
-	// MetricCacheDBInvalidations counts whole stores dropped from the cache
-	// via InvalidateDB (a cleaning job finished and released its sections).
-	MetricCacheDBInvalidations = "eval.cache.db_invalidations"
 	// MetricMaintainedHits / MetricMaintainedMisses count evaluation calls
-	// served from (or declined by) a registered incremental-view maintainer
-	// (see Maintainer and internal/view). Misses are counted only when a
-	// maintainer is registered for the store, so the ratio measures
-	// maintained-mode coverage.
+	// served from (or declined by) the incremental-view maintainer carried in
+	// the call (see Maintained and internal/view). Misses are counted only
+	// for calls that carry a maintainer, so the ratio measures maintained-mode
+	// coverage.
 	MetricMaintainedHits   = "eval.maintained.hits"
 	MetricMaintainedMisses = "eval.maintained.misses"
 	// MetricParallelRuns counts enumerations that ran on the partitioned

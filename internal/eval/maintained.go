@@ -1,26 +1,24 @@
 package eval
 
 import (
-	"sync"
-
 	"repro/internal/cq"
 	"repro/internal/db"
 )
 
 // A Maintainer serves evaluation results from incrementally maintained state
-// instead of enumeration. The view engine (internal/view) registers itself
-// here per store ID; Result, Witnesses, AnswerHolds and Holds consult the
-// registered maintainer between the generation-stamped cache and cold
-// evaluation.
+// instead of enumeration. The view engine (internal/view) implements it; a
+// caller that owns an engine passes it with every evaluation call (see
+// Maintained), and Result, Witnesses, AnswerHolds and Holds consult it before
+// the store's memo and cold evaluation.
 //
 // Every method returns (value, ok). ok == false means the maintainer cannot
-// serve this call — the query is not maintained, the reader's generation does
-// not match the maintained state (someone edited the store without
-// propagating the delta), or the call shape is unsupported — and the caller
-// falls back to cold evaluation. A maintainer must never return ok == true
-// with a value that differs from what cold evaluation would produce: the
-// differential harness (internal/check) enforces byte-identity against
-// NaiveResult.
+// serve this call — the reader is not the maintained store, the query is not
+// maintained, the reader's generation does not match the maintained state
+// (someone edited the store without propagating the delta), or the call
+// shape is unsupported — and the caller falls back to the memo or cold
+// evaluation. A maintainer must never return ok == true with a value that
+// differs from what cold evaluation would produce: the differential harness
+// (internal/check) enforces byte-identity against NaiveResult.
 //
 // Concurrency contract: maintained reads follow the same rules as the store
 // they mirror — edits (and maintainer updates) must be serialized against
@@ -39,89 +37,14 @@ type Maintainer interface {
 	MaintainedHolds(d db.Reader, q *cq.Query, seed Assignment) (bool, bool)
 }
 
-// maintainers maps store ID -> registered maintainer. A RWMutex keeps the
-// lookup cheap on the evaluation hot path; registration is rare (once per
-// cleaning job).
-var maintainers = struct {
-	sync.RWMutex
-	byID map[uint64]Maintainer
-}{byID: make(map[uint64]Maintainer)}
-
-// SetMaintainer registers m as the maintainer for the store with the given
-// ID, replacing any previous registration.
-func SetMaintainer(id uint64, m Maintainer) {
-	maintainers.Lock()
-	maintainers.byID[id] = m
-	maintainers.Unlock()
-}
-
-// ClearMaintainer removes the registration for the store ID, but only if m is
-// still the registered maintainer (a finished job must not clobber a
-// successor's registration).
-func ClearMaintainer(id uint64, m Maintainer) {
-	maintainers.Lock()
-	if maintainers.byID[id] == m {
-		delete(maintainers.byID, id)
-	}
-	maintainers.Unlock()
-}
-
-// maintainerFor returns the maintainer registered for the reader's store, or
-// nil.
-func maintainerFor(d db.Reader) Maintainer {
-	maintainers.RLock()
-	m := maintainers.byID[d.ID()]
-	maintainers.RUnlock()
-	return m
-}
-
-// maintainedResult consults the registered maintainer for Q(D). Hit/miss
-// metrics fire only when a maintainer is actually registered for the store,
-// so the counters measure maintained-mode coverage, not unrelated traffic.
-func maintainedResult(d db.Reader, q *cq.Query) ([]db.Tuple, bool) {
-	m := maintainerFor(d)
-	if m == nil {
-		return nil, false
-	}
-	out, ok := m.MaintainedResult(d, q)
-	countMaintained(ok)
-	return out, ok
-}
-
-func maintainedWitnesses(d db.Reader, q *cq.Query, t db.Tuple) ([][]db.Fact, bool) {
-	m := maintainerFor(d)
-	if m == nil {
-		return nil, false
-	}
-	out, ok := m.MaintainedWitnesses(d, q, t)
-	countMaintained(ok)
-	return out, ok
-}
-
-func maintainedAnswerHolds(d db.Reader, q *cq.Query, t db.Tuple) (bool, bool) {
-	m := maintainerFor(d)
-	if m == nil {
-		return false, false
-	}
-	v, ok := m.MaintainedAnswerHolds(d, q, t)
-	countMaintained(ok)
-	return v, ok
-}
-
-func maintainedHolds(d db.Reader, q *cq.Query, seed Assignment) (bool, bool) {
-	m := maintainerFor(d)
-	if m == nil {
-		return false, false
-	}
-	v, ok := m.MaintainedHolds(d, q, seed)
-	countMaintained(ok)
-	return v, ok
-}
-
-func countMaintained(hit bool) {
-	if hit {
+// served counts one maintainer consultation and passes its answer through.
+// Hits and misses are counted only for calls that carry a maintainer, so the
+// counters measure maintained-mode coverage, not unrelated traffic.
+func served[T any](v T, ok bool) (T, bool) {
+	if ok {
 		rec().Inc(MetricMaintainedHits)
 	} else {
 		rec().Inc(MetricMaintainedMisses)
 	}
+	return v, ok
 }

@@ -3,15 +3,16 @@ package eval
 import "runtime"
 
 // Option tunes one evaluation call. The zero configuration — serial
-// enumeration with the generation-stamped cache consulted — is what every
-// caller gets without options, and is byte-identical in output to any other
+// enumeration with the store's memo consulted — is what every caller gets
+// without options, and is byte-identical in output to any other
 // configuration: options only trade time for resources.
 type Option func(*config)
 
 // config is the resolved per-call evaluation configuration.
 type config struct {
-	workers int  // effective worker count; 1 = serial
-	noCache bool // bypass the result/witness cache entirely
+	workers int        // effective worker count; 1 = serial
+	noCache bool       // bypass the maintainer and the memo entirely
+	maint   Maintainer // incrementally maintained state to serve from, or nil
 }
 
 // Parallel partitions the top-level scan of the enumeration across n worker
@@ -30,14 +31,22 @@ func Parallel(n int) Option {
 	}
 }
 
-// NoCache makes the call bypass the evaluation cache AND any registered
-// incremental-view maintainer: nothing is looked up and nothing is stored,
-// the call always enumerates cold. Benchmarks and the differential harness
+// NoCache makes the call bypass the store's memo AND any carried
+// maintainer: nothing is looked up and nothing is stored, the call always
+// enumerates cold. Benchmarks and the differential harness
 // use it to measure (and cross-check against) cold evaluation; it is also
 // the escape hatch for callers that mutate the database outside db.Store's
 // mutation methods (none in this repository do).
 func NoCache() Option {
 	return func(c *config) { c.noCache = true }
+}
+
+// Maintained makes the call consult m first: if m serves the call, its
+// answer is returned without touching the memo or enumerating. The cleaner
+// passes its view engine this way on every call of an incremental run, so
+// the engine's lifetime is the run's and no other caller can reach it.
+func Maintained(m Maintainer) Option {
+	return func(c *config) { c.maint = m }
 }
 
 // resolve folds the options into a config.

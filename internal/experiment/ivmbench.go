@@ -94,22 +94,18 @@ func IVMBench(opts IVMBenchOpts) IVMBenchReport {
 }
 
 // ivmBenchQuery runs the edit script for one query over a fresh clone with
-// its own engine registered as the store's maintainer.
+// its own engine passed as the maintainer of every maintained-leg read.
 func ivmBenchQuery(name string, q *cq.Query, dg *db.Database, opts IVMBenchOpts) IVMBenchRow {
 	d := dg.Clone()
 	engine := view.NewEngine(d)
 	if err := engine.Ensure(q); err != nil {
 		return IVMBenchRow{Name: name}
 	}
-	eval.SetMaintainer(d.ID(), engine)
-	defer func() {
-		eval.ClearMaintainer(d.ID(), engine)
-		eval.InvalidateDB(d.ID())
-	}()
+	m := eval.Maintained(engine)
 
 	row := IVMBenchRow{
 		Name:      name,
-		Answers:   len(eval.Result(q, d)),
+		Answers:   len(eval.Result(q, d, m)),
 		Identical: true,
 	}
 
@@ -139,10 +135,9 @@ func ivmBenchQuery(name string, q *cq.Query, dg *db.Database, opts IVMBenchOpts)
 		engine.Apply(e)
 		applyTotal += time.Since(start)
 
-		// The edit moved the generation, so the cache section for it is empty:
-		// this read is served by the maintainer, not the cache.
+		// The carried maintainer serves this read; the memo is not consulted.
 		start = time.Now()
-		maintained := eval.Result(q, d)
+		maintained := eval.Result(q, d, m)
 		readTotal += time.Since(start)
 
 		start = time.Now()
@@ -158,7 +153,7 @@ func ivmBenchQuery(name string, q *cq.Query, dg *db.Database, opts IVMBenchOpts)
 		if len(maintained) > 0 {
 			t := maintained[0]
 			start = time.Now()
-			wm := eval.Witnesses(q, d, t)
+			wm := eval.Witnesses(q, d, t, m)
 			witMaintTotal += time.Since(start)
 			start = time.Now()
 			wc := eval.Witnesses(q, d, t, eval.NoCache())

@@ -6,16 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/obs"
 )
-
-// Keep the eval cache in its default (enabled) state: the cache oracle
-// compares against NoCache explicitly and needs the cached leg to be real.
-func TestMain(m *testing.M) {
-	eval.SetCache(true)
-	m.Run()
-}
 
 // sweepWidth mirrors internal/check's trials: full width normally, a fast
 // slice under -short so tier-1 stays quick.

@@ -66,18 +66,16 @@ func renderTuples(ts []db.Tuple) string {
 // rendering the output at step 0 and after every edit. onEdit (optional)
 // observes each applied edit with its changed flag — the IVM leg forwards
 // changed edits to the engine, exactly as the cleaner's incremental mode
-// does. setup (optional) runs after cloning and may return a teardown.
-func memLeg(w *Workload, setup func(d *db.Database) (func(), error), onEdit func(db.Edit, bool), opts ...eval.Option) ([]string, error) {
+// does. setup (optional) runs after cloning and returns one more option for
+// every evaluation of the leg.
+func memLeg(w *Workload, setup func(d *db.Database) (eval.Option, error), onEdit func(db.Edit, bool), opts ...eval.Option) ([]string, error) {
 	d := w.Ins.D.Clone()
-	defer eval.InvalidateDB(d.ID())
 	if setup != nil {
-		teardown, err := setup(d)
+		o, err := setup(d)
 		if err != nil {
 			return nil, err
 		}
-		if teardown != nil {
-			defer teardown()
-		}
+		opts = append(opts[:len(opts):len(opts)], o)
 	}
 	out := make([]string, 0, len(w.Ins.Edits)+1)
 	s, err := evalText(w, d, opts...)
@@ -203,9 +201,10 @@ func checkRoundTrip(w *Workload) error {
 
 // ---- cache -----------------------------------------------------------------
 
-// checkCache compares the default (cached) evaluation against eval.NoCache,
-// and a warm second read against the first: the generation-stamped cache must
-// be invisible in output at every step of the edit script.
+// checkCache compares the default (memoized) evaluation against
+// eval.NoCache, and a warm second read against the first: the store's
+// generation-stamped memo must be invisible in output at every step of the
+// edit script.
 func checkCache(w *Workload) error {
 	if err := skipIfRejected(w); err != nil {
 		return err
@@ -225,7 +224,6 @@ func checkCache(w *Workload) error {
 	// generation; the second (cache-hit) read must be byte-identical to the
 	// first (cold-fill) read.
 	d := w.Ins.D.Clone()
-	defer eval.InvalidateDB(d.ID())
 	checkWarm := func(step string) error {
 		first, err := evalText(w, d)
 		if err != nil {
@@ -297,7 +295,7 @@ func checkIVM(w *Workload) error {
 		return err
 	}
 	var engine *view.Engine
-	maintained, err := memLeg(w, func(d *db.Database) (func(), error) {
+	maintained, err := memLeg(w, func(d *db.Database) (eval.Option, error) {
 		engine = view.NewEngine(d)
 		if err := engine.Ensure(w.Ins.Query); err != nil {
 			return nil, fmt.Errorf("Ensure(%s): %w", w.Ins.Query, err)
@@ -307,9 +305,7 @@ func checkIVM(w *Workload) error {
 				return nil, fmt.Errorf("EnsureUnion: %w", err)
 			}
 		}
-		eval.SetMaintainer(d.ID(), engine)
-		id := d.ID()
-		return func() { eval.ClearMaintainer(id, engine) }, nil
+		return eval.Maintained(engine), nil
 	}, func(e db.Edit, changed bool) {
 		if changed {
 			engine.Apply(e)
@@ -343,7 +339,6 @@ func checkStore(w *Workload) error {
 		return fmt.Errorf("disk leg: open: %w", err)
 	}
 	defer ds.Close()
-	defer eval.InvalidateDB(ds.ID())
 	if _, err := db.Copy(ds, w.Ins.D); err != nil {
 		return fmt.Errorf("disk leg: seeding: %w", err)
 	}

@@ -731,11 +731,6 @@ func (s *Server) finishJob(job *Job, report *core.Report, err error) {
 	if jl != nil && (!closing || state == JobCancelled || state == JobHandoff) {
 		_ = jl.End(job.ID, string(state))
 	}
-	// The finished job's evaluation-cache sections are dead weight (the next
-	// job re-warms from its own edits); drop them so sections never leak
-	// across jobs. The cleaner already invalidates when Clean returns — this
-	// covers every terminal path, including handoff and cancellation races.
-	eval.InvalidateDB(s.d.ID())
 }
 
 // newCleaner builds a cleaner over the server's database, question queue and

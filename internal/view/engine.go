@@ -7,11 +7,12 @@ import (
 )
 
 // Engine maintains a set of witness-tracking views over one store and serves
-// them through the eval.Maintainer interface: while the engine is registered
-// (eval.SetMaintainer) and in sync with the store, eval.Result,
+// them through the eval.Maintainer interface: for calls that carry the engine
+// (eval.Maintained) while it is in sync with the store, eval.Result,
 // eval.Witnesses, eval.AnswerHolds and eval.Holds on a maintained query are
 // answered from the views in O(answer) instead of re-enumerating the join —
-// the counting-IVM mode of ROADMAP item 2.
+// the counting-IVM mode. The engine belongs to the job that built it; no
+// other caller can reach it.
 //
 // The engine mirrors the store's edit generation: Apply must be called with
 // every semantically-changing edit, after the store itself applied it. If the
@@ -48,7 +49,7 @@ func NewEngine(d db.Store) *Engine {
 }
 
 // fingerprint is the query's registry identity — the same canonical rendering
-// the eval cache keys on, so a maintained lookup matches exactly the queries
+// the eval memo keys on, so a maintained lookup matches exactly the queries
 // that were ensured.
 func fingerprint(q *cq.Query) string { return q.String() }
 

@@ -342,12 +342,6 @@ func NewMonitor(d db.Store) *Monitor {
 // Store returns the monitored store.
 func (m *Monitor) Store() db.Store { return m.d }
 
-// Database returns the monitored store as an in-memory *db.Database.
-//
-// Deprecated: it exists for callers that predate the Store interface and
-// panics when the monitor holds a different backend; use Store instead.
-func (m *Monitor) Database() *db.Database { return m.d.(*db.Database) }
-
 // Register materializes a query as a named view.
 func (m *Monitor) Register(name string, q *cq.Query) (*View, error) {
 	if _, dup := m.views[name]; dup {

@@ -86,8 +86,8 @@ func TestSyntacticTornTailStillTolerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("torn tail %q should be tolerated: %v", tail, err)
 		}
-		if st.Database().Len() != 1 {
-			t.Errorf("torn tail %q: facts = %d, want 1", tail, st.Database().Len())
+		if st.Target().Len() != 1 {
+			t.Errorf("torn tail %q: facts = %d, want 1", tail, st.Target().Len())
 		}
 		st.Close()
 	}

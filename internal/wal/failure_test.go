@@ -46,7 +46,7 @@ func TestAppendErrorSticky(t *testing.T) {
 	if _, err := st.Apply(db.Insertion(db.NewFact("Teams", "ITA", "EU"))); err != first {
 		t.Errorf("second Apply error = %v, want sticky %v", err, first)
 	}
-	if st.Database().Has(db.NewFact("Teams", "ITA", "EU")) {
+	if st.Target().Has(db.NewFact("Teams", "ITA", "EU")) {
 		t.Errorf("poisoned store still applied the edit in memory")
 	}
 	if err := st.Sync(); err != first {
@@ -144,9 +144,9 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 		// A cut just before a newline leaves the final record complete except
 		// for its line terminator; recovering it too is a (one longer) clean
 		// prefix, not corruption.
-		ok := st.Database().Distance(states[whole]) == 0
+		ok := db.Distance(st.Target(), states[whole]) == 0
 		if !ok && cut < len(journal) && journal[cut] == '\n' {
-			ok = st.Database().Distance(states[whole+1]) == 0
+			ok = db.Distance(st.Target(), states[whole+1]) == 0
 		}
 		if !ok {
 			t.Fatalf("cut at byte %d: recovered state is not a clean %d- or %d-edit prefix", cut, whole, whole+1)

@@ -57,7 +57,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			return
 		}
-		first := st.Database().Facts()
+		first := st.Target().Facts()
 		if err := st.Close(); err != nil {
 			t.Fatalf("close after replay: %v", err)
 		}
@@ -67,7 +67,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("reopen after successful replay failed: %v", err)
 		}
 		defer st2.Close()
-		second := st2.Database().Facts()
+		second := st2.Target().Facts()
 		if len(first) != len(second) {
 			t.Fatalf("replay not deterministic: %d vs %d facts", len(first), len(second))
 		}
@@ -157,8 +157,8 @@ func TestWALReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if !st2.Database().Equal(direct) {
+	if !db.Equal(st2.Target(), direct) {
 		t.Fatalf("replayed database differs from direct application:\nreplayed: %v\ndirect:   %v",
-			st2.Database().Facts(), direct.Facts())
+			st2.Target().Facts(), direct.Facts())
 	}
 }

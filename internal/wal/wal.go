@@ -274,13 +274,6 @@ func (e *fatalReplayError) Error() string { return e.err.Error() }
 // the EditHook) to be durable.
 func (s *Store) Target() db.Store { return s.d }
 
-// Database returns the live store as an in-memory *db.Database.
-//
-// Deprecated: it exists for callers that predate the Store interface and
-// panics when the store was opened with a different backend (OpenWith); use
-// Target instead.
-func (s *Store) Database() *db.Database { return s.d.(*db.Database) }
-
 // Apply journals and applies an edit. No-op edits (inserting a present fact,
 // deleting an absent one) are not journaled. Once a journal append has
 // failed, Apply refuses further edits with that first error: the in-memory

@@ -22,7 +22,7 @@ func TestOpenEmptyStore(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer st.Close()
-	if st.Database().Len() != 0 {
+	if st.Target().Len() != 0 {
 		t.Errorf("fresh store not empty")
 	}
 }
@@ -48,7 +48,7 @@ func TestApplyAndReopen(t *testing.T) {
 	if ch, err := st.Apply(db.Insertion(db.NewFact("Teams", "ITA", "EU"))); err != nil || ch {
 		t.Errorf("idempotent Apply = %v, %v", ch, err)
 	}
-	want := st.Database().Facts()
+	want := st.Target().Facts()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestApplyAndReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer st2.Close()
-	got := st2.Database().Facts()
+	got := st2.Target().Facts()
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d facts, want %d", len(got), len(want))
 	}
@@ -94,10 +94,10 @@ func TestCompactAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if st2.Database().Len() != 3 {
-		t.Errorf("reopened store has %d facts, want 3", st2.Database().Len())
+	if st2.Target().Len() != 3 {
+		t.Errorf("reopened store has %d facts, want 3", st2.Target().Len())
 	}
-	if !st2.Database().Has(db.NewFact("Teams", "ITA", "EU")) {
+	if !st2.Target().Has(db.NewFact("Teams", "ITA", "EU")) {
 		t.Errorf("post-compaction edit lost")
 	}
 }
@@ -120,8 +120,8 @@ func TestTornTailTolerated(t *testing.T) {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}
 	defer st2.Close()
-	if st2.Database().Len() != 1 {
-		t.Errorf("facts = %d, want 1", st2.Database().Len())
+	if st2.Target().Len() != 1 {
+		t.Errorf("facts = %d, want 1", st2.Target().Len())
 	}
 }
 
@@ -167,7 +167,7 @@ func TestDurableCleaningSession(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl := core.New(st.Database(), crowd.NewPerfect(dg), core.Config{
+	cl := core.New(st.Target(), crowd.NewPerfect(dg), core.Config{
 		RNG:    rand.New(rand.NewSource(2)),
 		OnEdit: st.EditHook(),
 	})
@@ -175,7 +175,7 @@ func TestDurableCleaningSession(t *testing.T) {
 	if _, err := cl.Clean(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	want := eval.Result(q, st.Database())
+	want := eval.Result(q, st.Target())
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDurableCleaningSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	got := eval.Result(q, st2.Database())
+	got := eval.Result(q, st2.Target())
 	if len(got) != len(want) {
 		t.Fatalf("recovered result %v, want %v", got, want)
 	}
@@ -197,7 +197,7 @@ func TestDurableCleaningSession(t *testing.T) {
 	}
 	// Not necessarily equal to DG (cleaning stops at Q(D) = Q(DG)), but the
 	// recovered database must match the pre-restart one exactly.
-	if st2.Database().Distance(cl.Database()) != 0 {
+	if db.Distance(st2.Target(), cl.Store()) != 0 {
 		t.Errorf("recovered database differs from the cleaned one")
 	}
 }
@@ -218,7 +218,7 @@ func TestSnapshotQuotedValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if !st2.Database().Has(weird) {
+	if !st2.Target().Has(weird) {
 		t.Errorf("weird value lost in snapshot round trip")
 	}
 }
